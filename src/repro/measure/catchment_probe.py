@@ -107,26 +107,21 @@ class VerfploeterCampaign:
     replies) are lost in flight (``probe_loss``) on top of ordinary
     ICMP non-response, shrinking the measured catchments.
 
-    With ``streams`` the target list is split into fixed-size shards,
-    each drawing from its own substream (the builder's path — results
-    bit-identical for any worker count of the optional ``executor``);
-    with ``rng`` the legacy single-stream sweep runs.
+    The target list is split into fixed-size shards, each drawing from
+    its own substream of ``streams``; results are bit-identical for any
+    worker count of the optional ``executor``.
     """
 
     def __init__(self, model: AnycastModel, prefix_table: PrefixTable,
-                 rng: Optional[np.random.Generator] = None,
+                 streams: ShardStreams,
                  response_rate: float = DEFAULT_RESPONSE_RATE,
                  faults: Optional[FaultContext] = None,
                  recorder: Optional[Recorder] = None,
-                 streams: Optional[ShardStreams] = None,
                  executor: Optional[CampaignExecutor] = None) -> None:
         if not 0.0 < response_rate <= 1.0:
             raise MeasurementError("response_rate must be in (0, 1]")
-        if rng is None and streams is None:
-            raise MeasurementError("need either rng or streams")
         self._model = model
         self._prefixes = prefix_table
-        self._rng = rng
         self._response_rate = response_rate
         self._faults = faults
         self._recorder = resolve_recorder(recorder)
@@ -134,53 +129,27 @@ class VerfploeterCampaign:
         self._executor = executor
 
     def run(self, target_pids: np.ndarray) -> CatchmentMeasurement:
-        with self._recorder.span(f"measure.{CATCHMENT_CAMPAIGN}"):
-            if self._streams is not None:
-                return self._run_sharded(target_pids)
-            return self._run(target_pids)
-
-    def _run_sharded(self, target_pids: np.ndarray) -> CatchmentMeasurement:
-        targets = np.sort(np.asarray(target_pids, dtype=int))
-        if len(targets) == 0:
-            raise MeasurementError("no targets to probe")
         rec = self._recorder
-        plan = ShardPlan(len(targets), CATCHMENT_SHARD_SIZE)
-        executor = self._executor or CampaignExecutor(recorder=rec)
-        shards = executor.run(_catchment_shard, (self, targets, plan),
-                              plan.n_shards, CATCHMENT_CAMPAIGN)
-        scope = (self._faults.campaign(CATCHMENT_CAMPAIGN)
-                 if self._faults is not None else None)
-        replies = 0
-        for _, shard_replies, state in shards:
-            replies += shard_replies
-            if scope is not None and state is not None:
-                scope.merge_state(state)
-        sites = np.concatenate([part for part, _, _ in shards])
-        rec.count(f"measure.{CATCHMENT_CAMPAIGN}.probes_sent",
-                  len(targets))
-        rec.count(f"measure.{CATCHMENT_CAMPAIGN}.replies_received",
-                  replies)
-        return CatchmentMeasurement(
-            prefix_ids=targets, site_of_prefix=sites,
-            site_count=len(self._model.sites))
-
-    def _run(self, target_pids: np.ndarray) -> CatchmentMeasurement:
-        targets = np.sort(np.asarray(target_pids, dtype=int))
-        if len(targets) == 0:
-            raise MeasurementError("no targets to probe")
-        responds = self._rng.random(len(targets)) < self._response_rate
-        scope = (self._faults.campaign(CATCHMENT_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.PROBE_LOSS):
-            responds &= scope.survive_mask(FaultKind.PROBE_LOSS,
-                                           len(targets))
-        mapped = _site_lookup(self._model, self._prefixes.asn_array[targets])
-        sites = np.where(responds, mapped, -1).astype(np.int32)
-        rec = self._recorder
-        rec.count(f"measure.{CATCHMENT_CAMPAIGN}.probes_sent",
-                  len(targets))
-        rec.count(f"measure.{CATCHMENT_CAMPAIGN}.replies_received",
-                  int(responds.sum()))
-        return CatchmentMeasurement(
-            prefix_ids=targets, site_of_prefix=sites,
-            site_count=len(self._model.sites))
+        with rec.span(f"measure.{CATCHMENT_CAMPAIGN}"):
+            targets = np.sort(np.asarray(target_pids, dtype=int))
+            if len(targets) == 0:
+                raise MeasurementError("no targets to probe")
+            plan = ShardPlan(len(targets), CATCHMENT_SHARD_SIZE)
+            executor = self._executor or CampaignExecutor(recorder=rec)
+            shards = executor.run(_catchment_shard, (self, targets, plan),
+                                  plan.n_shards, CATCHMENT_CAMPAIGN)
+            scope = (self._faults.campaign(CATCHMENT_CAMPAIGN)
+                     if self._faults is not None else None)
+            replies = 0
+            for _, shard_replies, state in shards:
+                replies += shard_replies
+                if scope is not None and state is not None:
+                    scope.merge_state(state)
+            sites = np.concatenate([part for part, _, _ in shards])
+            rec.count(f"measure.{CATCHMENT_CAMPAIGN}.probes_sent",
+                      len(targets))
+            rec.count(f"measure.{CATCHMENT_CAMPAIGN}.replies_received",
+                      replies)
+            return CatchmentMeasurement(
+                prefix_ids=targets, site_of_prefix=sites,
+                site_count=len(self._model.sites))

@@ -105,10 +105,9 @@ class EcsMapper:
     spent, the affected client prefixes simply have no answer (-1) —
     exactly the partial coverage the paper warns rate limits cause.
 
-    With an ``executor`` the sweep runs sharded over fixed-size client
-    blocks (every shard visiting the services in catalogue order), which
-    is the builder's path: results are bit-identical for any worker
-    count. Without one the legacy whole-table sweep runs.
+    The sweep runs sharded over fixed-size client blocks, every shard
+    visiting the services in catalogue order; results are bit-identical
+    for any worker count of the optional ``executor``.
     """
 
     def __init__(self, authoritative: AuthoritativeDns,
@@ -124,89 +123,44 @@ class EcsMapper:
         self._recorder = resolve_recorder(recorder)
         self._executor = executor
 
-    def map_service(self, service: Service,
-                    client_pids: np.ndarray) -> Optional[ServiceMappingResult]:
-        """Map one service; None if the technique cannot cover it."""
-        if not service.ecs_supported:
-            return None
-        if service.redirection is not RedirectionScheme.DNS:
-            return None
-        self._recorder.count(
-            f"measure.{ECS_MAPPING_CAMPAIGN}.queries_sent",
-            len(client_pids))
-        answers = self._auth.resolve_ecs_batch(service.key, client_pids)
-        scope = (self._faults.campaign(ECS_MAPPING_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.ECS_RATE_LIMIT):
-            answered = scope.survive_mask(FaultKind.ECS_RATE_LIMIT,
-                                          len(answers))
-            answers = np.where(answered, answers, -1)
-        return ServiceMappingResult(
-            service_key=service.key,
-            client_pids=np.asarray(client_pids, dtype=int),
-            answer_pids=answers)
-
     def run(self, client_pids: np.ndarray,
             services: Optional[List[Service]] = None) -> EcsMappingResult:
-        with self._recorder.span(f"measure.{ECS_MAPPING_CAMPAIGN}"):
-            return self._run(client_pids, services)
-
-    def _run(self, client_pids: np.ndarray,
-             services: Optional[List[Service]]) -> EcsMappingResult:
-        targets = services if services is not None else \
-            self._catalog.services
-        if self._executor is not None:
-            return self._run_sharded(client_pids, targets)
-        per_service: Dict[str, ServiceMappingResult] = {}
-        uncovered: List[str] = []
-        for service in targets:
-            result = self.map_service(service, client_pids)
-            if result is None:
-                uncovered.append(service.key)
-            else:
-                per_service[service.key] = result
         rec = self._recorder
-        rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.services_mapped",
-                  len(per_service))
-        rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.services_uncovered",
-                  len(uncovered))
-        return EcsMappingResult(per_service=per_service,
-                                uncovered_services=uncovered)
-
-    def _run_sharded(self, client_pids: np.ndarray,
-                     targets: List[Service]) -> EcsMappingResult:
-        pids = np.asarray(client_pids, dtype=int)
-        covered = [s for s in targets
-                   if s.ecs_supported and
-                   s.redirection is RedirectionScheme.DNS]
-        uncovered = [s.key for s in targets
-                     if not (s.ecs_supported and
-                             s.redirection is RedirectionScheme.DNS)]
-        rec = self._recorder
-        rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.queries_sent",
-                  len(covered) * len(pids))
-        per_service: Dict[str, ServiceMappingResult] = {}
-        if covered:
-            plan = ShardPlan(len(pids), ECS_SHARD_SIZE)
-            executor = self._executor or CampaignExecutor(recorder=rec)
-            shards = executor.run(_ecs_shard, (self, pids, covered, plan),
-                                  plan.n_shards, ECS_MAPPING_CAMPAIGN)
-            scope = (self._faults.campaign(ECS_MAPPING_CAMPAIGN)
-                     if self._faults is not None else None)
-            for _, state in shards:
-                if scope is not None and state is not None:
-                    scope.merge_state(state)
-            for service in covered:
-                answers = np.concatenate(
-                    [part[service.key] for part, _ in shards]) \
-                    if shards else np.empty(0, dtype=np.int64)
-                per_service[service.key] = ServiceMappingResult(
-                    service_key=service.key,
-                    client_pids=pids,
-                    answer_pids=answers)
-        rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.services_mapped",
-                  len(per_service))
-        rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.services_uncovered",
-                  len(uncovered))
-        return EcsMappingResult(per_service=per_service,
-                                uncovered_services=uncovered)
+        with rec.span(f"measure.{ECS_MAPPING_CAMPAIGN}"):
+            targets = services if services is not None else \
+                self._catalog.services
+            pids = np.asarray(client_pids, dtype=int)
+            covered = [s for s in targets
+                       if s.ecs_supported and
+                       s.redirection is RedirectionScheme.DNS]
+            uncovered = [s.key for s in targets
+                         if not (s.ecs_supported and
+                                 s.redirection is RedirectionScheme.DNS)]
+            rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.queries_sent",
+                      len(covered) * len(pids))
+            per_service: Dict[str, ServiceMappingResult] = {}
+            if covered:
+                plan = ShardPlan(len(pids), ECS_SHARD_SIZE)
+                executor = self._executor or CampaignExecutor(recorder=rec)
+                shards = executor.run(_ecs_shard,
+                                      (self, pids, covered, plan),
+                                      plan.n_shards, ECS_MAPPING_CAMPAIGN)
+                scope = (self._faults.campaign(ECS_MAPPING_CAMPAIGN)
+                         if self._faults is not None else None)
+                for _, state in shards:
+                    if scope is not None and state is not None:
+                        scope.merge_state(state)
+                for service in covered:
+                    answers = np.concatenate(
+                        [part[service.key] for part, _ in shards]) \
+                        if shards else np.empty(0, dtype=np.int64)
+                    per_service[service.key] = ServiceMappingResult(
+                        service_key=service.key,
+                        client_pids=pids,
+                        answer_pids=answers)
+            rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.services_mapped",
+                      len(per_service))
+            rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.services_uncovered",
+                      len(uncovered))
+            return EcsMappingResult(per_service=per_service,
+                                    uncovered_services=uncovered)

@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from ..core.mapstore import MapStore
 from ..core.uncertainty import coverage_caveats
-from ..errors import ReproError, ValidationError
+from ..errors import ConfigError, ReproError, ValidationError
 from ..lru import BoundedLru, CacheStats
 from ..obs.live import LiveTelemetry, render_prometheus
 from ..obs.recorder import Recorder, resolve_recorder
@@ -69,8 +69,9 @@ def load_store(path: str, scenario) -> MapStore:
     :mod:`repro.core.serialize`); ``scenario`` re-attaches the ground
     truth context cross-component queries need — the prefix→AS table,
     the city atlas, the AS graph. Any unreadable, unparseable or
-    incompatible artefact raises :class:`MapArtefactError` with a
-    one-line reason.
+    incompatible artefact — including one built for a different world
+    (scale or seed), whose cities or prefixes the scenario lacks —
+    raises :class:`MapArtefactError` with a one-line reason.
     """
     from ..core.serialize import map_from_json
     try:
@@ -83,7 +84,7 @@ def load_store(path: str, scenario) -> MapStore:
         itm = map_from_json(text, atlas=scenario.atlas,
                             prefix_asn=scenario.prefixes.asn_array)
         return MapStore.from_map(itm, graph=scenario.graph)
-    except ValidationError as exc:
+    except (ValidationError, ConfigError) as exc:
         raise MapArtefactError(str(exc)) from None
 
 

@@ -14,6 +14,8 @@ SRC = REPO / "src" / "repro"
 
 # Markdown inline links: [text](target), ignoring images and footnotes.
 _MD_LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
+# Fenced ```python blocks; the body is everything up to the closing fence.
+_PY_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 
 
 def all_modules():
@@ -107,3 +109,17 @@ class TestExamples:
             names = {node.name for node in tree.body
                      if isinstance(node, ast.FunctionDef)}
             assert "main" in names, path.name
+
+
+class TestTutorial:
+    def test_tutorial_blocks_run_in_order(self, tmp_path, monkeypatch):
+        """docs/tutorial.md is one REPL session: its python blocks run
+        top to bottom in one namespace, so a stale snippet fails here."""
+        path = REPO / "docs" / "tutorial.md"
+        blocks = _PY_BLOCK.findall(path.read_text())
+        assert len(blocks) >= 10
+        monkeypatch.chdir(tmp_path)   # the tour writes run.json, ckpt/
+        namespace: dict = {}
+        for i, block in enumerate(blocks):
+            code = compile(block, f"{path.name}[block {i}]", "exec")
+            exec(code, namespace)

@@ -400,6 +400,23 @@ class TestWatcher:
                   if t not in before and t.is_alive()]
         assert leaked == []
 
+    def test_world_mismatched_rewrite_keeps_serving(self, tmp_path,
+                                                     small_itm,
+                                                     small_scenario):
+        """An artefact from another world fails the reload the way a
+        corrupt one does: counted and the old map kept. The poll must
+        return, not raise, or the watcher thread dies."""
+        artefact = tmp_path / "map.json"
+        artefact.write_text(map_to_json(small_itm))
+        recorder = Recorder()
+        service = MapService(load_store(str(artefact), small_scenario),
+                             recorder=recorder)
+        digest = service.digest
+        _write_world_mismatched(artefact, small_itm)
+        assert watcher_poll(service, artefact, small_scenario) is False
+        assert service.digest == digest
+        assert recorder.snapshot()["counters"]["serve.watch.errors"] == 1
+
     def test_missing_artefact_raises_artefact_error(self, tmp_path,
                                                     small_scenario):
         with pytest.raises(MapArtefactError):
@@ -408,6 +425,17 @@ class TestWatcher:
         bad.write_text('{"format_version": 99}')
         with pytest.raises(MapArtefactError):
             load_store(str(bad), small_scenario)
+
+
+def _write_world_mismatched(path, small_itm) -> None:
+    """Write ``small_itm`` with one site moved to a city the small world
+    does not have — what re-attaching a ``default``-scale artefact to a
+    ``small`` rebuild runs into."""
+    payload = map_to_dict(small_itm)
+    sites = next(s for s in payload["services"]["sites_by_org"].values()
+                 if s)
+    sites[0]["city"] = ["CO", "Bogota"]
+    path.write_text(json.dumps(payload))
 
 
 def watcher_poll(service, artefact, scenario) -> bool:
@@ -464,6 +492,15 @@ class TestCli:
         bad.write_text('{"format_version": 99}')
         assert main(["serve", "--map-json", str(bad)]) == EXIT_BAD_MAP
         assert "unsupported map format" in capsys.readouterr().err
+
+    def test_world_mismatched_artefact_exits_bad_map(self, tmp_path,
+                                                      small_itm, capsys):
+        artefact = tmp_path / "map.json"
+        _write_world_mismatched(artefact, small_itm)
+        assert main(["serve", "--map-json", str(artefact)]) == EXIT_BAD_MAP
+        err = capsys.readouterr().err
+        assert "unknown city 'Bogota' in 'CO'" in err
+        assert "hint" in err
 
     def test_watch_requires_map_json(self, capsys):
         assert main(["serve", "--watch"]) == 2
