@@ -7,13 +7,17 @@ embeds the same renderings).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
 from ..obs.diff import ManifestDiff
 from ..obs.manifest import RunManifest
-from .claims import ClaimResult
-from .figures import Fig1aRow, Fig1bData, Fig2Data
-from .tables import Table1Row
+
+if TYPE_CHECKING:
+    # Type-only: these modules need scipy (the ``analysis`` extra), and
+    # the serve path renders tables without it.
+    from .claims import ClaimResult
+    from .figures import Fig1aRow, Fig1bData, Fig2Data
+    from .tables import Table1Row
 
 
 def render_table(headers: Sequence[str],

@@ -69,7 +69,9 @@ stage whose inputs the plan left untouched, recomputing only dirty
 stages — bit-identical to a fresh build of the mutated world.
 
 Exit codes: 0 success; 1 command-specific failure (e.g. failed claims);
-2 bad flags or unreadable inputs; 3 simulated crash; 4 regression found
+2 bad flags or unreadable inputs, or an analysis command (``claims``,
+``figures``, ``table1``, ``report``) run without scipy, the
+``repro[analysis]`` extra; 3 simulated crash; 4 regression found
 by ``compare``; 5 a manifest failed schema validation (nothing invalid
 is ever persisted); 6 ``serve`` was pointed at a missing or
 format-incompatible map artefact.
@@ -90,15 +92,10 @@ from typing import Dict, List, Optional, TextIO
 from . import ScenarioConfig, build_scenario
 from .errors import ConfigError, ValidationError
 from .faults import FaultPlan, RetryPolicy, SimulatedCrash
-from .analysis.claims import ClaimSuite
-from .analysis.figures import (fig1a_prefixes_per_pop,
-                               fig1b_coverage_and_servers,
-                               fig2_subscribers_vs_signals)
 from .analysis.report import (render_claims, render_diff_report,
                               render_fig1a, render_fig1b, render_fig2,
                               render_run_report, render_table,
                               render_table1)
-from .analysis.tables import regenerate_table1
 from .core.builder import BuilderOptions, MapBuilder
 from .core.usecases import OutageImpactAnalyzer
 from .obs import (DEFAULT_HISTORY_PATH, DIFF_CATEGORIES, NULL_RECORDER,
@@ -112,6 +109,10 @@ EXIT_REGRESSION = 4
 EXIT_INVALID_MANIFEST = 5
 #: ``serve`` was pointed at a missing or incompatible map artefact.
 EXIT_BAD_MAP = 6
+
+#: Build commands whose analysis modules need scipy (the ``analysis``
+#: extra); without it they exit 2 with an install hint.
+ANALYSIS_COMMANDS = ("claims", "figures", "table1", "report")
 
 SCALES = {
     "small": ScenarioConfig.small,
@@ -454,7 +455,20 @@ def _cmd_summary(scenario, builder, itm) -> int:
     return 0
 
 
+def _analysis_available(command: str) -> bool:
+    """Whether scipy, which ``command``'s analysis modules need, imports;
+    prints the one-line install hint when it does not."""
+    try:
+        import scipy.stats  # noqa: F401
+    except ImportError:
+        print(f"repro {command} needs scipy: "
+              f"pip install 'repro[analysis]'", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_claims(scenario, builder, itm) -> int:
+    from .analysis.claims import ClaimSuite
     suite = ClaimSuite(scenario, itm, builder.artifacts)
     results = suite.run_all()
     print(render_claims(results))
@@ -462,6 +476,9 @@ def _cmd_claims(scenario, builder, itm) -> int:
 
 
 def _cmd_figures(scenario, builder, itm) -> int:
+    from .analysis.figures import (fig1a_prefixes_per_pop,
+                                   fig1b_coverage_and_servers,
+                                   fig2_subscribers_vs_signals)
     cache = builder.artifacts.cache_result
     print(render_fig1a(fig1a_prefixes_per_pop(scenario, cache)))
     print()
@@ -473,6 +490,7 @@ def _cmd_figures(scenario, builder, itm) -> int:
 
 
 def _cmd_table1(scenario, builder, itm) -> int:
+    from .analysis.tables import regenerate_table1
     print(render_table1(regenerate_table1(scenario, itm)))
     return 0
 
@@ -1044,6 +1062,9 @@ def _run(args: argparse.Namespace) -> int:
 
 def _run_build(args: argparse.Namespace,
                manifest_stream: Optional[TextIO] = None) -> int:
+    if args.command in ANALYSIS_COMMANDS \
+            and not _analysis_available(args.command):
+        return 2
     recorder = _make_recorder(args)
     try:
         scenario, builder, itm = _prepare(args, recorder)

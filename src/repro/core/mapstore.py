@@ -21,10 +21,22 @@ Contracts:
   concurrent readers need no locks, which is what makes the
   :class:`repro.serve.service.MapService` hot swap a single reference
   assignment.
-* **Content digest** — :attr:`digest` is the SHA-256 of the map's
-  canonical JSON artefact, so two stores built from bit-identical maps
-  (fresh vs ``--delta``, serial vs ``--workers N``) share a digest and
-  an answer cached under one is valid for the other.
+* **Content digest** — :attr:`digest` is one SHA-256 over the store's
+  columns and the world context they were joined against: a compact
+  canonical-JSON header (format version, seed, techniques, service keys,
+  unmapped services, organisations, site cities, route predictability,
+  coverage), then each column in a fixed order, prefixed by its name,
+  dtype and shape — activity, detected prefixes, per-service
+  clients/answers in sorted service-key order, site rows, the route CSR,
+  ``prefix_asn`` and the AS-graph CSR. Every part is order-stable under
+  the artefact round trip (whose ``sort_keys`` reorders services,
+  organisations and coverage), so stores of bit-identical maps — fresh
+  vs ``--delta``, serial vs ``--workers N``, built in-process vs loaded
+  from ``map_to_json`` — share a digest and an answer cached under one
+  is valid for the other. Because the context is hashed too, one
+  artefact re-attached to a different prefix table or AS graph serves
+  under a different digest. Map content no query reads
+  (``serving_asns_by_domain``) is not covered.
 """
 
 from __future__ import annotations
@@ -94,9 +106,6 @@ OutageImpactAnalyzer` needs; without it outage queries raise. The map's
         """
         self = object.__new__(cls)
 
-        canonical = json.dumps(_canonical_map_dict(itm), sort_keys=True,
-                               separators=(",", ":"))
-        self.digest = hashlib.sha256(canonical.encode()).hexdigest()
         self.format_version = 1
         self.seed = itm.metadata.get("seed")
         self.coverage: Dict[str, ComponentCoverage] = dict(itm.coverage)
@@ -255,6 +264,7 @@ OutageImpactAnalyzer` needs; without it outage queries raise. The map's
             self._cust_flat = np.asarray(cust_flat, dtype=np.int64)
         else:
             self.graph_asns = None
+        self.digest = _column_digest(self)
         return self
 
     # -- identity ---------------------------------------------------------
@@ -531,8 +541,54 @@ def _check_pid_bounds(pids: np.ndarray, size: int, where: str) -> None:
             f"context disagree")
 
 
-def _canonical_map_dict(itm: InternetTrafficMap) -> Dict[str, object]:
-    # Imported lazily: serialize imports measure modules, which is more
-    # than a point lookup needs at import time.
-    from .serialize import map_to_dict
-    return map_to_dict(itm)
+def _column_digest(store: MapStore) -> str:
+    """SHA-256 of a store's columns and world context (see the module
+    docstring for what is covered and why each part is order-stable)."""
+    header = {
+        "format_version": store.format_version,
+        "seed": store.seed,
+        "techniques": list(store.techniques),
+        "services": sorted(store.service_keys),
+        "unmapped_services": list(store.unmapped_services),
+        "organizations": list(store.organizations),
+        "site_cities": [None if city is None
+                        else [city.country_code, city.name]
+                        for city in store.site_city],
+        "predictability": store.predictability,
+        "coverage": {
+            name: [record.coverage, list(record.techniques_intended),
+                   list(record.techniques_delivered), list(record.notes)]
+            for name, record in store.coverage.items()},
+    }
+    hasher = hashlib.sha256(json.dumps(
+        header, sort_keys=True, separators=(",", ":")).encode())
+    columns: List[Tuple[str, Optional[np.ndarray]]] = [
+        ("act_pids", store.act_pids), ("act_pid_w", store.act_pid_w),
+        ("act_asns", store.act_asns), ("act_as_w", store.act_as_w),
+        ("detected_pids", store.detected_pids)]
+    for key in sorted(store.service_keys):
+        svc = store._svc_index[key]
+        columns += [("svc_clients", store.svc_clients[svc]),
+                    ("svc_answers", store.svc_answers[svc])]
+    columns += [
+        ("site_org_off", store.site_org_off), ("site_pid", store.site_pid),
+        ("site_asn", store.site_asn), ("site_offnet", store.site_offnet),
+        ("route_src", store.route_src), ("route_dst", store.route_dst),
+        ("route_hops", store.route_hops),
+        ("route_path_off", store.route_path_off),
+        ("route_path_flat", store.route_path_flat),
+        ("prefix_asn", store.prefix_asn),
+        ("graph_asns", store.graph_asns)]
+    if store.graph_asns is not None:
+        columns += [("nbr_off", store._nbr_off),
+                    ("nbr_flat", store._nbr_flat),
+                    ("cust_off", store._cust_off),
+                    ("cust_flat", store._cust_flat)]
+    for name, column in columns:
+        if column is None:
+            hasher.update(f"{name}:none;".encode())
+            continue
+        hasher.update(
+            f"{name}:{column.dtype.str}:{column.shape};".encode())
+        hasher.update(np.ascontiguousarray(column).data)
+    return hasher.hexdigest()

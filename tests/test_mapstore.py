@@ -16,6 +16,8 @@ Three layers of evidence:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,7 @@ from repro.core.traffic_map import (ComponentCoverage,
 from repro.core.uncertainty import coverage_caveats
 from repro.errors import ValidationError
 from repro.faults import FaultPlan
-from repro.net.geography import City
+from repro.net.geography import City, Country, WorldAtlas
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +307,56 @@ def synthetic_maps(draw):
         users=users, services=services, routes=routes,
         metadata={"seed": 0, "prefix_asn": prefix_asn},
         coverage=coverage)
+
+
+class TestDigestInvariants:
+    """The column digest is order-stable under the artefact round trip
+    and covers the world context the columns were joined against."""
+
+    _ATLAS = WorldAtlas(
+        Country(code=city.country_code, name=city.country_code,
+                region="synthetic", internet_users_m=1.0, cities=(city,))
+        for city in _CITIES)
+
+    @settings(max_examples=40, deadline=None)
+    @given(itm=synthetic_maps(), data=st.data())
+    def test_digest_survives_round_trip_and_reordering(self, itm, data):
+        digest = MapStore.from_map(itm).digest
+        reloaded = map_from_json(map_to_json(itm), atlas=self._ATLAS,
+                                 prefix_asn=itm.metadata["prefix_asn"])
+        assert MapStore.from_map(reloaded).digest == digest
+
+        services = itm.services
+        keys = data.draw(st.permutations(list(services.user_to_host)))
+        orgs = data.draw(st.permutations(list(services.sites_by_org)))
+        shuffled = dataclasses.replace(itm, services=dataclasses.replace(
+            services,
+            user_to_host={key: services.user_to_host[key] for key in keys},
+            sites_by_org={org: services.sites_by_org[org]
+                          for org in orgs}))
+        assert MapStore.from_map(shuffled).digest == digest
+
+    def test_graph_link_changes_digest(self, small_itm, small_scenario,
+                                       store):
+        graph = small_scenario.graph.copy()
+        a, b, __ = next(iter(graph.edges()))
+        graph.remove_link(a, b)
+        assert MapStore.from_map(small_itm, graph=graph).digest != \
+            store.digest
+        assert MapStore.from_map(small_itm,
+                                 graph=small_scenario.graph).digest == \
+            store.digest
+
+    def test_prefix_asn_entry_changes_digest(self, small_itm,
+                                             small_scenario, store):
+        prefix_asn = np.array(small_itm.metadata["prefix_asn"],
+                              dtype=np.int64)
+        prefix_asn[0] += 1
+        moved = dataclasses.replace(
+            small_itm, metadata={**small_itm.metadata,
+                                 "prefix_asn": prefix_asn})
+        assert MapStore.from_map(moved, graph=small_scenario.graph) \
+            .digest != store.digest
 
 
 class TestHypothesisRoundTrip:
